@@ -405,6 +405,9 @@ def cmd_query(args) -> int:
     engine = QueryEngine(args.store, **kwargs)
     runtime = SyncRuntime(engine)
     result = runtime.query(query)
+    if not result.ok:
+        print(f"error ({result.error_type}): {result.error}")
+        return 1
     row = result.metrics.as_row()
     pairs = [("via", result.via)]
     pairs += [(key, value) for key, value in row.items()]

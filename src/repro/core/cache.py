@@ -111,14 +111,23 @@ class ScheduleCache:
     wrong profile costs a fallback, not correctness.
 
     Thread safety: the async service runtime serves per-class query
-    groups concurrently on executor threads, all sharing one cache, so
-    every public method guards the LRU dicts, counters and store calls
-    with an internal re-entrant lock.  The slow fixpoint compile in
-    :meth:`get_or_compile` deliberately runs *outside* the lock — that is
-    the whole point of concurrent groups.  Two threads racing to compile
-    the same key would simply both compile and last-write-wins, which is
-    harmless because compilation is deterministic (in the service this
-    cannot even happen: concurrent groups never share a query).
+    groups concurrently on executor threads, all sharing one cache.  An
+    internal lock guards only the memory tiers (the LRU dicts) and the
+    counters; every store read, publish and replay runs *outside* it, so
+    a warm lookup never queues behind another thread's shard publish.
+    The store serialises its own writers on a per-shard ``flock`` (each
+    call opens its own file description, so threads exclude each other
+    like processes do) and its readers take no lock.  The slow fixpoint
+    compile in :meth:`get_or_compile` runs unlocked too.  Two threads
+    racing on the same key both compile (or both load) and the store's
+    first writer wins, which is harmless because compilation is
+    deterministic (the service's single flight per group key keeps it
+    from happening there).
+
+    Lookups can report the tier that served them (``with_tier=True``):
+    ``"memory"``, ``"store"`` or ``"compile"``.  The label comes from
+    the lookup itself, not from a diff of the shared counters, so a
+    concurrent hit on another thread cannot relabel it.
     """
 
     def __init__(self, path: Optional[os.PathLike] = None, *,
@@ -132,7 +141,7 @@ class ScheduleCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._mem: "OrderedDict[str, CompiledBroadcast]" = OrderedDict()
         self._class_mem: Dict[str, dict] = {}
         self.hits = 0
@@ -156,30 +165,40 @@ class ScheduleCache:
     def get_or_compile(self, protocol: BroadcastProtocol,
                        topology: Topology, source, *,
                        completion: bool = True,
-                       repair: bool = True) -> CompiledBroadcast:
-        """Return the cached compilation, or compile and cache it."""
+                       repair: bool = True, with_tier: bool = False):
+        """Return the cached compilation, or compile and cache it.
+
+        With *with_tier* the result is ``(compiled, tier)``, where
+        *tier* names what served it: ``"memory"``, ``"store"`` or
+        ``"compile"``.
+        """
         source_index = topology.index(source)
         key = schedule_cache_key(
             topology, protocol.name, source_index,
             completion=completion, repair=repair)
+
+        def served(compiled, tier):
+            return (compiled, tier) if with_tier else compiled
 
         with self._lock:
             cached = self._mem.get(key)
             if cached is not None:
                 self._mem.move_to_end(key)
                 self.hits += 1
-                return cached
+                return served(cached, "memory")
 
-            if self.store is not None:
-                cached = self._store_call(
-                    self._load_store, protocol, topology, source,
-                    source_index, completion, repair)
-                if cached is not None:
+        if self.store is not None:
+            cached = self._store_call(
+                self._load_store, protocol, topology, source,
+                source_index, completion, repair)
+            if cached is not None:
+                with self._lock:
                     self._remember(key, cached)
                     self.hits += 1
                     self.disk_hits += 1
-                    return cached
+                return served(cached, "store")
 
+        with self._lock:
             self.misses += 1
         # Plain compile (no cache=) — get_or_compile is the only caching
         # layer, so the delegation cannot recurse.  Runs unlocked so
@@ -188,30 +207,32 @@ class ScheduleCache:
             topology, source, completion=completion, repair=repair)
         with self._lock:
             self._remember(key, compiled)
-            if self.store is not None:
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, source_index,
-                    completion=completion, repair=repair,
-                    schedule=compiled.schedule,
-                    counts=trace_counts(compiled.trace),
-                    completions=compiled.completions,
-                    repairs=compiled.repairs, rounds=compiled.rounds)
-        return compiled
+        if self.store is not None:
+            self._store_call(
+                self.store.put,
+                topology, protocol.name, source_index,
+                completion=completion, repair=repair,
+                schedule=compiled.schedule,
+                counts=trace_counts(compiled.trace),
+                completions=compiled.completions,
+                repairs=compiled.repairs, rounds=compiled.rounds)
+        return served(compiled, "compile")
 
     def cached_metrics(self, protocol: BroadcastProtocol,
                        topology: Topology, source, *,
                        model: FirstOrderRadioModel = PAPER_RADIO_MODEL,
                        packet_bits: int = PAPER_PACKET_BITS,
                        completion: bool = True,
-                       repair: bool = True) -> Optional[BroadcastMetrics]:
+                       repair: bool = True, with_tier: bool = False):
         """Warm-hit metrics, or ``None`` when the source isn't cached.
 
         This is the no-replay fast path: a memory hit reduces the cached
         trace, a store hit rebuilds the metrics from the persisted counts
         without touching the simulation engine at all.  Misses are *not*
         counted here — the caller falls through to
-        :meth:`get_or_compile`, which counts them.
+        :meth:`get_or_compile`, which counts them.  With *with_tier* a
+        hit is ``(metrics, tier)``, *tier* being ``"memory"`` or
+        ``"store"``; a miss is still ``None``.
         """
         source_index = topology.index(source)
         key = schedule_cache_key(
@@ -222,21 +243,24 @@ class ScheduleCache:
             if cached is not None:
                 self._mem.move_to_end(key)
                 self.hits += 1
-                return compute_metrics(cached.trace, topology, model,
-                                       packet_bits)
-            if self.store is None:
-                return None
-            entry = self._store_call(
-                self.store.get, topology, protocol.name, source_index,
-                completion=completion, repair=repair)
-            if entry is None:
-                return None
-            metrics = entry.metrics(topology, model, packet_bits)
-            if metrics is None:  # legacy import without counts
-                return None
+        if cached is not None:
+            metrics = compute_metrics(cached.trace, topology, model,
+                                      packet_bits)
+            return (metrics, "memory") if with_tier else metrics
+        if self.store is None:
+            return None
+        entry = self._store_call(
+            self.store.get, topology, protocol.name, source_index,
+            completion=completion, repair=repair)
+        if entry is None:
+            return None
+        metrics = entry.metrics(topology, model, packet_bits)
+        if metrics is None:  # legacy import without counts
+            return None
+        with self._lock:
             self.hits += 1
             self.disk_hits += 1
-            return metrics
+        return (metrics, "store") if with_tier else metrics
 
     def admit_member(self, protocol: BroadcastProtocol,
                      topology: Topology, member, *,
@@ -251,30 +275,29 @@ class ScheduleCache:
         *repair* must be the options the class was compiled with — they
         pick the shard, so a member admitted under the wrong options
         would never be found by its own warm lookups.  No-op without a
-        store.
+        store.  Touches no memory tier, so it never takes the lock.
         """
         if self.store is None:
             return
         from .store import summary_counts
-        with self._lock:
-            if member.compiled is not None:
-                compiled = member.compiled
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, compiled.source,
-                    completion=completion, repair=repair,
-                    schedule=compiled.schedule,
-                    counts=trace_counts(compiled.trace),
-                    completions=compiled.completions,
-                    repairs=compiled.repairs, rounds=compiled.rounds)
-            elif member.first_rx is not None:
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, member.source_index,
-                    completion=completion, repair=repair,
-                    counts=summary_counts(member.first_rx, member.tx_count,
-                                          member.rx_count,
-                                          member.collisions))
+        if member.compiled is not None:
+            compiled = member.compiled
+            self._store_call(
+                self.store.put,
+                topology, protocol.name, compiled.source,
+                completion=completion, repair=repair,
+                schedule=compiled.schedule,
+                counts=trace_counts(compiled.trace),
+                completions=compiled.completions,
+                repairs=compiled.repairs, rounds=compiled.rounds)
+        elif member.first_rx is not None:
+            self._store_call(
+                self.store.put,
+                topology, protocol.name, member.source_index,
+                completion=completion, repair=repair,
+                counts=summary_counts(member.first_rx, member.tx_count,
+                                      member.rx_count,
+                                      member.collisions))
 
     def class_profile(self, topology: Topology, protocol_name: str,
                       class_key: Tuple, *,
@@ -285,16 +308,15 @@ class ScheduleCache:
                                 completion=completion, repair=repair)
         with self._lock:
             profile = self._class_mem.get(key)
-            if profile is not None:
-                return profile
-            if self.store is None:
-                return None
-            profile = self._store_call(
-                self.store.class_profile, topology, protocol_name, key,
-                completion=completion, repair=repair)
-            if profile is not None:
-                self._class_mem[key] = profile
+        if profile is not None or self.store is None:
             return profile
+        profile = self._store_call(
+            self.store.class_profile, topology, protocol_name, key,
+            completion=completion, repair=repair)
+        if profile is not None:
+            with self._lock:
+                self._class_mem[key] = profile
+        return profile
 
     def store_class_profile(self, topology: Topology, protocol_name: str,
                             class_key: Tuple, profile: dict, *,
@@ -305,11 +327,11 @@ class ScheduleCache:
                                 completion=completion, repair=repair)
         with self._lock:
             self._class_mem[key] = dict(profile)
-            if self.store is not None:
-                self._store_call(
-                    self.store.store_class_profile,
-                    topology, protocol_name, key, profile,
-                    completion=completion, repair=repair)
+        if self.store is not None:
+            self._store_call(
+                self.store.store_class_profile,
+                topology, protocol_name, key, profile,
+                completion=completion, repair=repair)
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for ``--cache-stats`` style reporting."""
@@ -343,15 +365,18 @@ class ScheduleCache:
         write, yanked filesystem, corrupt index) must cost a recompile,
         not the query.  Failed reads report a miss, failed writes skip
         the publish; both bump :attr:`store_errors` so operators can see
-        the disk tier misbehaving in ``stats()``/``health``.
+        the disk tier misbehaving in ``stats()``/``health``.  Called
+        without the lock held; only the counter update takes it.
         """
         try:
             return op(*args, **kwargs)
         except Exception:
-            self.store_errors += 1
+            with self._lock:
+                self.store_errors += 1
             return None
 
     def _remember(self, key: str, compiled: CompiledBroadcast) -> None:
+        """Insert into the LRU tier (caller holds the lock)."""
         self._mem[key] = compiled
         self._mem.move_to_end(key)
         if self.max_entries is not None:

@@ -36,6 +36,13 @@ Concurrency model — *atomic single-writer updates, lock-free readers*:
   and only trust offsets that fit inside the current data file.  A stale
   snapshot is a cache *miss*, not an error.
 
+Threads of one process follow the same model: every writer opens the
+shard's lock file itself, and ``flock`` excludes separate open file
+descriptions even within a process, so threads serialise per shard as
+processes do.  The cached snapshot a writer updates in place is only
+ever read, never iterated, by reader threads, and an entry whose bytes
+lie past a reader's older mapping reads as a miss.
+
 Version guard: shards declaring an unknown ``version`` are read as
 misses and rewritten from scratch on the next publish — stale formats are
 never mis-parsed.  Directories holding the legacy per-entry JSON layout

@@ -119,9 +119,10 @@ class QueryResult:
     ``via`` records the serving tier: ``"memory"`` / ``"store"`` (warm
     hits), ``"compile"`` (cold fixpoint), ``"class:<mode>"`` for
     batch-coalesced members (``mode`` is the class engine's execution
-    path, e.g. ``summary`` or ``representative``), or ``"shed"`` for a
-    query the engine declined — then ``metrics`` is ``None`` and
-    ``error``/``error_type`` say why.
+    path, e.g. ``summary`` or ``representative``), ``"shed"`` for a
+    query the engine declined, or ``"invalid"`` for a source outside the
+    grid or a protocol that does not run on the topology — then
+    ``metrics`` is ``None`` and ``error``/``error_type`` say why.
     """
 
     query: Query
@@ -140,6 +141,11 @@ def _shed_result(query: Query, exc: Exception) -> QueryResult:
     return QueryResult(query=query, metrics=None, via="shed",
                        error=str(exc) or type(exc).__name__,
                        error_type=getattr(exc, "error_type", "error"))
+
+
+def _bad_request(query: Query, exc: ValueError) -> QueryResult:
+    return QueryResult(query=query, metrics=None, via="invalid",
+                       error=f"ValueError: {exc}", error_type="bad_request")
 
 
 @dataclass
@@ -162,11 +168,17 @@ class QueryEngine:
     engine's shared mutable state — the request counters and the
     topology LRU — is guarded by a small internal lock, and the
     :class:`~repro.core.cache.ScheduleCache` underneath locks its own
-    tiers.  The slow work (fixpoint compiles) runs unlocked; concurrent
-    groups never share a query, so no compile is ever duplicated.  The
-    ``via`` label infers its tier from cache-counter deltas, so under
-    concurrency a simultaneous hit elsewhere can turn a ``memory`` label
-    into ``store`` — a cosmetic race; metrics are never affected.
+    memory tiers.  The slow work (fixpoint compiles, store I/O) runs
+    unlocked; the runtime keeps one batch in flight per group key, so
+    concurrent groups never share a class and no compile is duplicated.
+    The ``via`` label is the tier the cache lookup itself reports, so a
+    concurrent hit on another thread cannot relabel a query.
+
+    Bad input is isolated per query: a source outside the grid or a
+    protocol that does not run on the topology answers ``bad_request``
+    for that query alone, in :meth:`query` and :meth:`query_batch`
+    alike, and its batch-mates are served.  An unknown topology or a bad
+    shape still raises ``ValueError`` (for the whole batch).
     """
 
     def __init__(self, store_path=None, *,
@@ -206,9 +218,19 @@ class QueryEngine:
         return topo
 
     def _protocol(self, query: Query, topology):
-        if query.protocol is None:
-            return protocol_for(topology)
-        return protocol_for(query.protocol)
+        """The protocol of *query*, after checking that its source is a
+        node of *topology* and the protocol runs on it.
+
+        Raises ``ValueError`` for bad input.  Called per query before
+        any grouping, so a bad query never fails its batch-mates.
+        """
+        topology.index(query.source)
+        protocol = protocol_for(
+            topology if query.protocol is None else query.protocol)
+        if not protocol.supports(topology):
+            raise ValueError(f"protocol {protocol.name!r} does not "
+                             f"support topology {topology.name!r}")
+        return protocol
 
     def _check_deadline(self, query: Query) -> None:
         if query.expired():
@@ -225,34 +247,32 @@ class QueryEngine:
         Raises :class:`DeadlineExceeded` (after counting the query as
         shed) when the stamped deadline has passed — checked on entry
         and again right before the compile, the step worth shedding.
+        A source outside the grid or a protocol that does not run on the
+        topology is answered with a ``bad_request`` result, not raised.
         """
         query = query.stamped()
         with self._lock:
             self.queries += 1
         self._check_deadline(query)
         topology = self.topology(query.topology, query.shape)
-        protocol = self._protocol(query, topology)
+        try:
+            protocol = self._protocol(query, topology)
+        except ValueError as exc:
+            return _bad_request(query, exc)
         if not query.include_schedule:
-            d0 = self.cache.disk_hits
-            metrics = self.cache.cached_metrics(
+            hit = self.cache.cached_metrics(
                 protocol, topology, query.source, model=self.model,
                 packet_bits=self.packet_bits, completion=query.completion,
-                repair=query.repair)
-            if metrics is not None:
-                via = "store" if self.cache.disk_hits > d0 else "memory"
+                repair=query.repair, with_tier=True)
+            if hit is not None:
+                metrics, via = hit
                 return QueryResult(query=query, metrics=metrics, via=via)
         self._check_deadline(query)  # a compile may follow: last exit
         faults.sleep_if(faults.COMPILE_SLOW)
-        m0, d0 = self.cache.misses, self.cache.disk_hits
-        compiled = protocol.compile(
-            topology, query.source, cache=self.cache,
-            completion=query.completion, repair=query.repair)
-        if self.cache.misses > m0:
-            via = "compile"
-        elif self.cache.disk_hits > d0:
-            via = "store"
-        else:
-            via = "memory"
+        compiled, via = self.cache.get_or_compile(
+            protocol, topology, query.source,
+            completion=query.completion, repair=query.repair,
+            with_tier=True)
         metrics = compute_metrics(compiled.trace, topology, self.model,
                                   self.packet_bits)
         schedule = None
@@ -271,7 +291,8 @@ class QueryEngine:
         tier-first exactly like :meth:`query`; the *cold* remainder is
         grouped by symmetry class and each class compiles once —
         ``compile_call_count`` moves by the number of distinct cold
-        classes, not the number of queries.
+        classes, not the number of queries.  Each query is checked
+        before grouping; a bad one gets its own ``bad_request`` result.
         """
         with self._lock:
             self.batches += 1
@@ -290,14 +311,20 @@ class QueryEngine:
             if query.include_schedule:
                 results[pos] = self.query(query)  # schedule => full path
                 continue
+            topology = self.topology(query.topology, query.shape)
+            try:
+                protocol = self._protocol(query, topology)
+            except ValueError as exc:
+                with self._lock:
+                    self.queries += 1
+                results[pos] = _bad_request(query, exc)
+                continue
             gkey = (query.topology,
                     None if query.shape is None else tuple(query.shape),
                     query.protocol, query.completion, query.repair)
             group = groups.get(gkey)
             if group is None:
-                topology = self.topology(query.topology, query.shape)
-                group = _Group(topology=topology,
-                               protocol=self._protocol(query, topology),
+                group = _Group(topology=topology, protocol=protocol,
                                completion=query.completion,
                                repair=query.repair)
                 groups[gkey] = group
@@ -313,13 +340,13 @@ class QueryEngine:
             query = queries[pos]
             with self._lock:
                 self.queries += 1
-            d0 = self.cache.disk_hits
-            metrics = self.cache.cached_metrics(
+            hit = self.cache.cached_metrics(
                 protocol, topology, query.source, model=self.model,
                 packet_bits=self.packet_bits,
-                completion=query.completion, repair=query.repair)
-            if metrics is not None:
-                via = "store" if self.cache.disk_hits > d0 else "memory"
+                completion=query.completion, repair=query.repair,
+                with_tier=True)
+            if hit is not None:
+                metrics, via = hit
                 results[pos] = QueryResult(query=query, metrics=metrics,
                                            via=via)
             else:

@@ -19,30 +19,40 @@ All three expose the same surface — ``query`` / ``query_batch`` /
 
 The async runtime is where request coalescing becomes *temporal*:
 queries issued by concurrent tasks funnel through one dispatcher, which
-drains everything currently queued each tick — so N same-class queries
-in flight cost one representative compile, and later stragglers ride
-the persisted class profile (zero further compiles).
+drains everything currently queued each tick and splits it into
+per-class groups (same topology, shape, protocol, compile options and
+``include_schedule`` — the key :meth:`~repro.service.engine.QueryEngine
+.query_batch` coalesces on).  Every group is launched at once as its own
+``query_batch`` call on the executor thread pool, and the dispatcher
+goes straight back to draining: a group's futures resolve when *its*
+batch returns, so a warm read never waits out a cold class's compile
+that happened to share (or precede) its tick.
 
-One tick may mix query *classes* (different shapes, topologies or
-compile options — a fleet warming several grids at once).  The
-dispatcher splits the drained batch into per-class groups and serves
-each group as its own
-:meth:`~repro.service.engine.QueryEngine.query_batch` call on the
-executor thread pool, concurrently: cold representatives of different
-shapes compile on different cores instead of queueing behind each
-other, and a slow cold class no longer adds latency to the warm hits
-that happened to share its tick.  Splitting costs nothing in compiles —
-``query_batch`` coalesces within a class family, and the groups *are*
-the class families, so k classes cost exactly k representative compiles
-whether they arrive in one tick or k.
+Coalescing survives the pipelining through a *single flight per key*:
+arrivals whose key already has a batch in flight are parked, and when
+that batch returns they launch together as one group of at most
+``max_batch``.  The first batch of a class persists the class profile,
+so the parked stragglers ride it at zero further compiles — N
+same-class queries cost one representative compile however many ticks
+they straddle, and k cold classes cost k.  Cold representatives of
+different keys still compile concurrently on different cores.
+
+Parked queries count against ``max_queue`` like queued ones; the
+``shed-oldest`` policy displaces the oldest waiter, parked or queued,
+and a parked query whose deadline passed is shed when its group
+launches.  ``close()`` cancels every waiter — queued, parked or in
+flight — so no caller is left awaiting a future nobody will resolve.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
+import functools
+import itertools
 import time
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .engine import (DeadlineExceeded, Overloaded, Query, QueryEngine,
                      QueryResult)
@@ -132,17 +142,16 @@ class SimulationRuntime(Runtime):
 
 
 class AsyncRuntime(Runtime):
-    """Asyncio runtime with micro-batching, group-parallel dispatch.
+    """Asyncio runtime with micro-batching, pipelined per-class dispatch.
 
     Concurrent ``await runtime.query(...)`` calls enqueue onto one
     dispatcher task.  Each tick drains the queue, splits the batch into
-    per-class groups (same topology, shape, protocol and compile
-    options), and runs every group as its own ``query_batch`` on the
-    default executor concurrently — the event loop stays responsive
-    while cold classes compile in parallel on the engine's locked
-    shared tiers.  Failures are group-scoped: an error in one class
-    rejects that group's futures and leaves the rest of the tick (and
-    the dispatcher) running.
+    per-class groups and launches every group as its own ``query_batch``
+    on the default executor without waiting for the others; at most one
+    batch per group key is in flight, later arrivals of a busy key park
+    until it returns.  Failures are group-scoped: an error in one class
+    rejects that group's futures and leaves every other group (and the
+    dispatcher) running.
     """
 
     name = "async"
@@ -161,14 +170,22 @@ class AsyncRuntime(Runtime):
         self.max_queue = max_queue
         self.overflow = overflow
         #: Overload-protection counters: queries refused at the door
-        #: ("reject") and queued queries displaced by newer arrivals
-        #: ("shed-oldest"), plus queries shed at dispatch because their
-        #: deadline expired while queued.
+        #: ("reject") and waiting queries displaced by newer arrivals
+        #: ("shed-oldest"), plus queries shed at launch because their
+        #: deadline expired while queued or parked.
         self.rejected = 0
         self.shed_queued = 0
         self.shed_expired = 0
         self._queue: Optional[asyncio.Queue] = None
         self._task: Optional[asyncio.Task] = None
+        #: Group key -> (executor future, its waiters) of the one batch
+        #: in flight for that key.
+        self._inflight: Dict[tuple, Tuple[asyncio.Future, list]] = {}
+        #: Group key -> waiters parked behind its in-flight batch, in
+        #: arrival order.  Waiters are ``(query, future, arrival)``.
+        self._parked: Dict[tuple, Deque[tuple]] = {}
+        self._parked_count = 0
+        self._arrivals = itertools.count()
 
     def now(self) -> float:
         return time.monotonic()
@@ -180,6 +197,8 @@ class AsyncRuntime(Runtime):
             "shed_queued": self.shed_queued,
             "shed_expired": self.shed_expired,
             "queued": 0 if self._queue is None else self._queue.qsize(),
+            "parked": self._parked_count,
+            "inflight_groups": len(self._inflight),
             "max_queue": self.max_queue,
             "overflow": self.overflow,
         })
@@ -200,6 +219,13 @@ class AsyncRuntime(Runtime):
                                          name="repro-query-dispatch")
 
     async def close(self) -> None:
+        """Stop dispatching and cancel every waiter.
+
+        Batches already on the executor run to completion on their
+        threads (a thread cannot be interrupted), but their results are
+        dropped: queued, parked and in-flight waiters are all cancelled
+        here, so nobody awaits a future that will never resolve.
+        """
         if self._task is None:
             return
         self._task.cancel()
@@ -207,35 +233,47 @@ class AsyncRuntime(Runtime):
             await self._task
         except asyncio.CancelledError:
             pass
+        waiters = [item for _, group in self._inflight.values()
+                   for item in group]
+        for parked in self._parked.values():
+            waiters.extend(parked)
+        while not self._queue.empty():
+            waiters.append(self._queue.get_nowait())
+        for _, future, _ in waiters:
+            if not future.done():
+                future.cancel()
+        self._inflight.clear()
+        self._parked.clear()
+        self._parked_count = 0
         self._task, self._queue = None, None
 
     async def query(self, query: Query) -> QueryResult:
         """Answer one query (coalesced with everything else in flight).
 
         The deadline is stamped *here*, at arrival — queue wait counts
-        against the client's timeout.  A full queue applies the overflow
-        policy: ``"reject"`` raises :class:`~repro.service.engine.
-        Overloaded` to the newcomer (classic load shedding — cheapest
-        possible refusal), ``"shed-oldest"`` fails the longest-waiting
-        queued query instead, on the theory that its client has the
-        least patience left anyway.
+        against the client's timeout.  When queued plus parked queries
+        reach ``max_queue`` the overflow policy applies: ``"reject"``
+        raises :class:`~repro.service.engine.Overloaded` to the newcomer
+        (classic load shedding — cheapest possible refusal),
+        ``"shed-oldest"`` fails the longest-waiting query instead, on
+        the theory that its client has the least patience left anyway.
         """
         if self._task is None:
             await self.start()
         query = query.stamped(self.now())
-        if self._queue.qsize() >= self.max_queue:
+        if self._queue.qsize() + self._parked_count >= self.max_queue:
             if self.overflow == "reject":
                 self.rejected += 1
                 raise Overloaded(
                     f"queue full ({self.max_queue} queries waiting)")
-            old_query, old_future = self._queue.get_nowait()
+            _, old_future, _ = self._pop_oldest()
             self.shed_queued += 1
             if not old_future.done():
                 old_future.set_exception(Overloaded(
                     "shed from a full queue by a newer arrival"))
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        await self._queue.put((query, future))
+        await self._queue.put((query, future, next(self._arrivals)))
         return await future
 
     async def query_batch(self, queries: Sequence[Query]
@@ -244,71 +282,119 @@ class AsyncRuntime(Runtime):
             *(self.query(q) for q in queries)))
 
     @staticmethod
+    def _group_key(query: Query) -> tuple:
+        return (query.topology,
+                None if query.shape is None else tuple(query.shape),
+                query.protocol, query.completion, query.repair,
+                query.include_schedule)
+
+    @staticmethod
     def _split_groups(batch):
-        """Partition one tick's ``(query, future)`` pairs into per-class
-        groups — the same key :meth:`QueryEngine.query_batch` coalesces
-        on, plus ``include_schedule`` (schedule requests bypass
-        coalescing anyway).  Insertion-ordered, so result delivery stays
+        """Partition one tick's waiters into per-class groups — the same
+        key :meth:`QueryEngine.query_batch` coalesces on, plus
+        ``include_schedule`` (schedule requests bypass coalescing
+        anyway).  Insertion-ordered, so result delivery stays
         deterministic per group."""
         groups: "dict[tuple, list]" = {}
         for item in batch:
-            query = item[0]
-            key = (query.topology,
-                   None if query.shape is None else tuple(query.shape),
-                   query.protocol, query.completion, query.repair,
-                   query.include_schedule)
-            groups.setdefault(key, []).append(item)
+            groups.setdefault(AsyncRuntime._group_key(item[0]),
+                              []).append(item)
         return list(groups.values())
 
+    def _pop_oldest(self) -> tuple:
+        """Remove and return the longest-waiting query.  Parked waiters
+        were drained before anything still queued arrived, so the
+        oldest parked one (if any) is the oldest overall."""
+        if not self._parked:
+            return self._queue.get_nowait()
+        key = min(self._parked, key=lambda k: self._parked[k][0][2])
+        parked = self._parked[key]
+        item = parked.popleft()
+        if not parked:
+            del self._parked[key]
+        self._parked_count -= 1
+        return item
+
+    def _live(self, items, where: str) -> list:
+        """Drop waiters nobody awaits any more, shed expired ones."""
+        now = time.monotonic()
+        live = []
+        for item in items:
+            query, future, _ = item
+            if future.done():
+                continue  # cancelled by its caller or shed
+            if query.expired(now):
+                self.shed_expired += 1
+                future.set_exception(DeadlineExceeded(
+                    f"deadline exceeded while {where}"))
+            else:
+                live.append(item)
+        return live
+
     async def _dispatch(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             batch = [first]
-            # One cooperative tick so tasks that became runnable in the
-            # same burst get their queries enqueued before we drain.
-            await asyncio.sleep(0)
+            try:
+                # One cooperative tick so tasks that became runnable in
+                # the same burst get their queries enqueued before we
+                # drain.
+                await asyncio.sleep(0)
+            except asyncio.CancelledError:  # runtime.close()
+                first[1].cancel()
+                raise
             while (not self._queue.empty()
                    and len(batch) < self.max_batch):
                 batch.append(self._queue.get_nowait())
             # Shed queries whose deadline expired while they waited —
             # before they reach the engine, let alone a compile.
-            now = time.monotonic()
-            live = []
-            for query, future in batch:
-                if query.expired(now):
-                    self.shed_expired += 1
-                    if not future.done():
-                        future.set_exception(DeadlineExceeded(
-                            "deadline exceeded while queued"))
-                else:
-                    live.append((query, future))
-            batch = live
+            batch = self._live(batch, "queued")
             if not batch:
                 continue
-            groups = self._split_groups(batch)
-            try:
-                outcomes = await asyncio.gather(
-                    *(loop.run_in_executor(
-                        None, self.engine.query_batch, [q for q, _ in group])
-                      for group in groups),
-                    return_exceptions=True)
-            except asyncio.CancelledError:  # runtime.close()
-                for _, future in batch:
-                    if not future.done():
-                        future.cancel()
-                raise
-            for group, outcome in zip(groups, outcomes):
-                if isinstance(outcome, BaseException):
-                    # Group-scoped failure: reject these waiters, keep
-                    # serving the other groups and later ticks.
-                    for _, future in group:
-                        if not future.done():
-                            if isinstance(outcome, asyncio.CancelledError):
-                                future.cancel()
-                            else:
-                                future.set_exception(outcome)
-                    continue
-                for (_, future), result in zip(group, outcome):
-                    if not future.done():
-                        future.set_result(result)
+            for group in self._split_groups(batch):
+                key = self._group_key(group[0][0])
+                if key in self._inflight:
+                    self._parked.setdefault(key, deque()).extend(group)
+                    self._parked_count += len(group)
+                else:
+                    self._launch(key, group)
+
+    def _launch(self, key: tuple, group: list) -> None:
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(
+            None, self.engine.query_batch, [item[0] for item in group])
+        self._inflight[key] = (future, group)
+        future.add_done_callback(functools.partial(self._finish, key))
+
+    def _finish(self, key: tuple, batch: asyncio.Future) -> None:
+        """Resolve one returned batch's waiters; launch its parked
+        successors (event-loop thread, as a future done-callback)."""
+        entry = self._inflight.get(key)
+        if entry is None or entry[0] is not batch:
+            return  # runtime closed: close() already cancelled these
+        del self._inflight[key]
+        group = entry[1]
+        exc = None if batch.cancelled() else batch.exception()
+        for i, (_, future, _) in enumerate(group):
+            if future.done():
+                continue
+            if batch.cancelled():
+                future.cancel()
+            elif exc is not None:
+                # Group-scoped failure: reject these waiters, keep
+                # serving every other group and later arrivals of this
+                # key.
+                future.set_exception(exc)
+            else:
+                future.set_result(batch.result()[i])
+        parked = self._parked.pop(key, None)
+        while parked:
+            take = min(len(parked), self.max_batch)
+            self._parked_count -= take
+            successors = self._live(
+                [parked.popleft() for _ in range(take)], "parked")
+            if successors:
+                self._launch(key, successors)
+                break
+        if parked:
+            self._parked[key] = parked

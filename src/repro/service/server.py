@@ -22,7 +22,7 @@ Resilience surface (PR 10):
 * graceful shutdown: :func:`serve` takes a ``stop`` event (and
   :func:`run_server` wires SIGTERM/SIGINT to it) — the listener closes
   first, in-flight queries drain for up to ``drain_timeout`` seconds,
-  then idle connections are dropped;
+  then idle connections are dropped without a traceback;
 * the ``server.drop_connection`` / ``server.garble_response`` fault
   seams (:mod:`repro.faults`) let the chaos suite prove clients
   survive both.
@@ -207,6 +207,11 @@ async def serve(engine: QueryEngine, host: str = "127.0.0.1",
         conn_tasks.add(task)
         try:
             await _handle_connection(runtime, reader, writer, inflight)
+        except asyncio.CancelledError:
+            # Shutdown cancels idle connections.  asyncio.streams reads
+            # this task's outcome in a done-callback that reports a
+            # cancelled task as an unhandled error, so end it normally.
+            pass
         finally:
             conn_tasks.discard(task)
 

@@ -11,6 +11,7 @@ run.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -18,9 +19,11 @@ from repro.core.compiler import compile_call_count
 from repro.core.registry import protocol_for
 from repro.core.symmetry import group_sources
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
-from repro.service import (AsyncRuntime, Query, QueryEngine,
-                           SimulationRuntime, SyncRuntime, serve,
-                           query_from_dict, query_to_dict, result_to_dict)
+from repro.core.cache import ScheduleCache
+from repro.service import (AsyncRuntime, BackgroundServer, Query,
+                           QueryEngine, ServiceClient, SimulationRuntime,
+                           SyncRuntime, serve, query_from_dict,
+                           query_to_dict, result_to_dict)
 from repro.sim.metrics import compute_metrics
 from repro.topology import Mesh2D4
 from repro.topology.builder import make_topology
@@ -401,6 +404,13 @@ def test_cli_query_and_cache_stats(tmp_path, capsys):
     assert compile_call_count() == calls0
 
 
+def test_cli_query_reports_a_bad_source_without_a_traceback(capsys):
+    from repro.cli import main
+    assert main(["query", "2D-4", "--shape", "8", "8",
+                 "--source", "99", "1"]) == 1
+    assert capsys.readouterr().out.startswith("error (bad_request):")
+
+
 def test_cli_sweep_cache_stats_line(tmp_path, capsys):
     from repro.cli import main
     assert main(["sweep", "2D-4", "--shape", "8", "8", "--stride", "4",
@@ -432,3 +442,230 @@ def test_warm_precompute_serves_every_source_without_compiling(tmp_path):
     # spot-check fidelity against a direct compile
     assert engine.query(_query(sample[3])).metrics \
         == _direct_metrics(sample[3])
+
+
+# -- per-query isolation: a bad source fails only itself -------------------
+
+BAD_SOURCE = (99, 1)  # outside the 8x8 grid
+
+
+def test_bad_source_is_a_bad_request_result_in_process(tmp_path):
+    engine = QueryEngine(tmp_path / "store")
+    for result in (engine.query(_query(BAD_SOURCE)),
+                   engine.query(_query(BAD_SOURCE, include_schedule=True))):
+        assert not result.ok and result.metrics is None
+        assert result.error_type == "bad_request"
+        assert "99" in result.error
+    alone = QueryEngine(tmp_path / "alone").query_batch(
+        [_query((4, 4)), _query((2, 5))])
+    mixed = engine.query_batch([_query((4, 4)), _query(BAD_SOURCE),
+                                _query((2, 5)),
+                                _query(BAD_SOURCE, include_schedule=True)])
+    assert [r.ok for r in mixed] == [True, False, True, False]
+    assert {r.error_type for r in mixed if not r.ok} == {"bad_request"}
+    # the valid answers are the ones they get without the bad tick-mate
+    assert [mixed[0].metrics, mixed[2].metrics] == [r.metrics for r in alone]
+    assert mixed[0].metrics == _direct_metrics((4, 4))
+
+
+@pytest.mark.parametrize("bad", [
+    Query("2D-4", (1, 1), shape=SHAPE, protocol="3D-6"),  # wrong protocol
+    Query("2D-4", (1, 1), shape=SHAPE, protocol="XX"),    # unknown protocol
+    Query("2D-4", (1, 1, 1), shape=SHAPE),                # wrong dimension
+])
+def test_bad_protocol_or_source_fails_only_its_own_query(tmp_path, bad):
+    engine = QueryEngine(tmp_path / "store")
+    assert engine.query(bad).error_type == "bad_request"
+    good, result = engine.query_batch([_query((4, 4)), bad])
+    assert result.error_type == "bad_request" and result.via == "invalid"
+    assert good.ok and good.metrics == _direct_metrics((4, 4))
+
+
+def test_wire_batch_serves_the_valid_mate_of_a_bad_source(tmp_path):
+    engine = QueryEngine(tmp_path / "store")
+    entries = [{"topology": "2D-4", "shape": list(SHAPE),
+                "source": list(source)} for source in (BAD_SOURCE, (4, 4))]
+    with BackgroundServer(engine, port=0) as srv, \
+            ServiceClient(port=srv.port) as client:
+        response = client.request({"type": "batch", "queries": entries})
+    assert response["ok"] is True
+    bad, good = response["results"]
+    assert bad["ok"] is False and bad["error_type"] == "bad_request"
+    assert good["ok"] is True
+    assert good["metrics"]["tx"] == _direct_metrics((4, 4)).tx
+
+
+# -- serving tier reported by the lookup itself ----------------------------
+
+def test_cache_lookups_report_their_serving_tier(tmp_path):
+    topology = Mesh2D4(*SHAPE)
+    protocol = protocol_for(topology)
+    cache = ScheduleCache(tmp_path / "store")
+    assert cache.cached_metrics(protocol, topology, (3, 3),
+                                with_tier=True) is None
+    compiled, tier = cache.get_or_compile(protocol, topology, (3, 3),
+                                          with_tier=True)
+    assert tier == "compile"
+    assert cache.get_or_compile(protocol, topology, (3, 3),
+                                with_tier=True) == (compiled, "memory")
+    metrics, tier = cache.cached_metrics(protocol, topology, (3, 3),
+                                         with_tier=True)
+    assert tier == "memory" and metrics == _direct_metrics((3, 3))
+    cold = ScheduleCache(tmp_path / "store")  # same store, empty memory
+    assert cold.cached_metrics(protocol, topology, (3, 3),
+                               with_tier=True) == (metrics, "store")
+    assert cold.get_or_compile(protocol, topology, (3, 3),
+                               with_tier=True)[1] == "store"
+    # without the flag the return types are unchanged
+    assert cold.cached_metrics(protocol, topology, (3, 3)) == metrics
+
+
+def test_via_ignores_other_threads_store_hits(tmp_path):
+    """A store hit on another thread during a memory-tier lookup must
+    not relabel the query: ``via`` comes from the lookup's own return,
+    not from the shared hit counters."""
+    engine = QueryEngine(tmp_path / "store")
+    engine.query(_query((4, 4), include_schedule=True))  # memory tier
+    lookup = engine.cache.cached_metrics
+
+    def racing_lookup(*args, **kwargs):
+        engine.cache.disk_hits += 1  # another thread's concurrent hit
+        return lookup(*args, **kwargs)
+
+    engine.cache.cached_metrics = racing_lookup
+    assert engine.query(_query((4, 4))).via == "memory"
+    assert [r.via for r in engine.query_batch([_query((4, 4))])] \
+        == ["memory"]
+
+
+# -- shutdown: idle connections close without a traceback -----------------
+
+def test_stop_with_idle_connection_logs_no_traceback(tmp_path):
+    engine = QueryEngine(tmp_path / "store")
+    reported = []
+
+    async def run():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context))
+        ready, stop = asyncio.Event(), asyncio.Event()
+        server = asyncio.create_task(serve(engine, "127.0.0.1", 0,
+                                           ready=ready, stop=stop))
+        await ready.wait()
+        _, writer = await asyncio.open_connection("127.0.0.1",
+                                                  ready.bound_port)
+        await asyncio.sleep(0.1)  # the server accepts it and idles
+        stop.set()
+        await asyncio.wait_for(server, timeout=30)
+        writer.close()
+        await asyncio.sleep(0)
+
+    asyncio.run(run())
+    assert reported == []
+
+
+# -- pipelined dispatch ----------------------------------------------------
+
+class _KeyGatedEngine(QueryEngine):
+    """Engine whose batches for one shape block until the gate opens."""
+
+    def __init__(self, store, gate, shape):
+        super().__init__(store)
+        self._gate, self._shape = gate, tuple(shape)
+
+    def query_batch(self, queries):
+        if tuple(queries[0].shape) == self._shape:
+            assert self._gate.wait(timeout=30)
+        return super().query_batch(queries)
+
+
+async def _until(predicate, timeout=10.0):
+    for _ in range(int(timeout / 0.01)):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("condition not reached")
+
+
+def test_warm_read_resolves_while_a_cold_group_is_in_flight(tmp_path):
+    gate = threading.Event()
+    engine = _KeyGatedEngine(tmp_path / "store", gate, (6, 6))
+    engine.query(_query((4, 4)))  # warm
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            cold = asyncio.create_task(runtime.query(
+                Query("2D-4", (2, 2), shape=(6, 6))))
+            await _until(lambda: runtime.stats()["inflight_groups"] == 1)
+            try:
+                warm = await asyncio.wait_for(
+                    runtime.query(_query((4, 4))), timeout=30)
+                assert not cold.done()  # still blocked in its batch
+                assert runtime.stats()["inflight_groups"] == 1
+            finally:
+                gate.set()
+            return warm, await cold
+
+    warm, cold = asyncio.run(run())
+    assert warm.via == "memory"
+    assert warm.metrics == _direct_metrics((4, 4))
+    assert cold.ok and cold.via == "class:representative"
+
+
+def test_same_class_arrivals_park_behind_the_in_flight_batch(tmp_path):
+    """k same-class cold queries straddling several ticks cost one
+    compile: the ones arriving while the first batch is in flight park
+    and launch together as one group when it returns."""
+    gate = threading.Event()
+    engine = _KeyGatedEngine(tmp_path / "store", gate, SHAPE)
+    sources = _same_class_sources(7)
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            first = asyncio.create_task(runtime.query(_query(sources[0])))
+            await _until(lambda: runtime.stats()["inflight_groups"] == 1)
+            later = []
+            try:
+                for source in sources[1:]:  # one tick each
+                    later.append(asyncio.create_task(
+                        runtime.query(_query(source))))
+                    await asyncio.sleep(0.02)
+                await _until(lambda: runtime.stats()["parked"] == 6)
+                assert runtime.stats()["inflight_groups"] == 1
+            finally:
+                gate.set()
+            results = [await first] + [await task for task in later]
+            return results, runtime.stats()
+
+    calls0 = compile_call_count()
+    results, stats = asyncio.run(run())
+    assert compile_call_count() - calls0 == 1
+    assert engine.batches == 2  # the first batch + one parked group
+    assert stats["parked"] == 0 and stats["inflight_groups"] == 0
+    assert results[0].metrics == _direct_metrics(sources[0])
+    assert all(r.ok for r in results)
+
+
+def test_close_cancels_parked_and_in_flight_waiters(tmp_path):
+    gate = threading.Event()
+    engine = _KeyGatedEngine(tmp_path / "store", gate, SHAPE)
+
+    async def run():
+        runtime = AsyncRuntime(engine)
+        await runtime.start()
+        tasks = [asyncio.create_task(runtime.query(_query((1, 1))))]
+        await _until(lambda: runtime.stats()["inflight_groups"] == 1)
+        tasks += [asyncio.create_task(runtime.query(_query(source)))
+                  for source in ((2, 2), (3, 3), (4, 4))]
+        try:
+            await _until(lambda: runtime.stats()["parked"] == 3)
+            await asyncio.wait_for(runtime.close(), timeout=10)
+            done, pending = await asyncio.wait(tasks, timeout=10)
+            stats = runtime.stats()
+        finally:
+            gate.set()
+        return done, pending, stats
+
+    done, pending, stats = asyncio.run(run())
+    assert not pending
+    assert all(task.cancelled() for task in done)
+    assert stats["parked"] == 0 and stats["inflight_groups"] == 0

@@ -11,6 +11,7 @@ unreadable entries.
 import json
 import multiprocessing
 import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -260,6 +261,86 @@ def test_concurrent_writers_produce_a_consistent_shard(tmp_path):
         assert np.array_equal(got_nodes, want_nodes), source
         assert entry.metrics(topology) == compute_metrics(
             compiled.trace, topology, PAPER_RADIO_MODEL, PAPER_PACKET_BITS)
+
+
+def _shard_snapshot(store, topology, sources, profile_keys):
+    """Every entry (counts + schedule arrays) and profile of one shard."""
+    entries = {}
+    for source in sources:
+        entry = store.get(topology, PROTO, topology.index(source))
+        assert entry is not None, source
+        entries[source] = (entry.counts, entry.slots.tolist(),
+                           entry.nodes.tolist())
+    profiles = {key: store.class_profile(topology, PROTO, key)
+                for key in profile_keys}
+    return entries, profiles
+
+
+def test_threads_share_one_store_instance_safely(tmp_path):
+    """Writer threads publish into one shard through one store object
+    while reader threads get and read class profiles from it — the
+    service's access pattern once store I/O runs outside the cache
+    lock.  Nothing raises, every published entry reads back, and the
+    shard equals the one a serial run writes."""
+    topology = _mesh()
+    sources = [topology.coord(i) for i in range(topology.num_nodes)]
+    compiled = {source: _compile(topology, source) for source in sources}
+    profile_keys = [f"{i:064x}" for i in range(8)]
+
+    def publish(store, chunk, keys):
+        for source in chunk:
+            _put_compiled(store, topology, compiled[source], source)
+        for key in keys:
+            store.store_class_profile(topology, PROTO, key,
+                                      {"zero_fix": True, "rounds": 1})
+
+    serial = ArtifactStore(tmp_path / "serial")
+    publish(serial, sources, profile_keys)
+
+    store = ArtifactStore(tmp_path / "threads")
+    writers_done = threading.Event()
+    errors, reads = [], []
+
+    def writer(i):
+        try:
+            publish(store, sources[i::4], profile_keys[i::4])
+        except BaseException as exc:  # pragma: no cover - the failure
+            errors.append(exc)
+
+    def reader(i):
+        try:
+            while not writers_done.is_set():
+                for source in sources[i::2]:
+                    entry = store.get(topology, PROTO,
+                                      topology.index(source))
+                    if entry is not None:
+                        reads.append((source, entry.counts))
+                for key in profile_keys:
+                    store.class_profile(topology, PROTO, key)
+        except BaseException as exc:  # pragma: no cover - the failure
+            errors.append(exc)
+
+    writers = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+    readers = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+    for thread in readers + writers:
+        thread.start()
+    for thread in writers:
+        thread.join(timeout=120)
+    writers_done.set()
+    for thread in readers:
+        thread.join(timeout=120)
+    assert errors == []
+    # every entry a reader saw mid-run already carried its final counts
+    for source, counts in reads:
+        assert counts == trace_counts(compiled[source].trace)
+    want = _shard_snapshot(serial, topology, sources, profile_keys)
+    assert _shard_snapshot(store, topology, sources, profile_keys) == want
+    fresh = ArtifactStore(tmp_path / "threads")  # from disk, not memory
+    assert _shard_snapshot(fresh, topology, sources, profile_keys) == want
+    index_path, _ = _shard_paths(fresh, topology)
+    index = json.loads(index_path.read_text())
+    assert len(index["entries"]) == len(sources)
+    assert len(index["profiles"]) == len(profile_keys)
 
 
 def test_reader_revalidates_despite_equal_mtime_and_size(tmp_path):
